@@ -604,7 +604,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="drive C swarm clients at the cluster (--processes)")
     live.add_argument("--swarm-mode", default="closed", choices=["closed", "open"])
     live.add_argument("--fsync", action="store_true",
-                      help="fsync the safety journal on every write")
+                      help="fsync the safety journal on every write "
+                           "(--processes only)")
     live.add_argument("--write-spec", default=None, metavar="PATH",
                       help="write the generated cluster spec and exit")
     live.add_argument("--json", action="store_true")
@@ -700,7 +701,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "live" and args.fsync:
+        if not (args.processes or args.write_spec):
+            # The in-process cluster journals to memory: --fsync is a no-op.
+            parser.error("live --fsync requires --processes (or --write-spec)")
     if args.command == "protocols":
         return cmd_protocols(args)
     if args.command == "run":

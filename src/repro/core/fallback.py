@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Optional
 from repro.core.quorum import FallbackViewState, ShareQuorumTracker
 from repro.core.validation import (
     effective_rank,
+    verify_coin_qc,
     verify_fallback_qc,
     verify_fallback_tc,
     verify_parent_cert,
@@ -436,7 +437,7 @@ class FallbackEngine:
 
     def handle_coin_qc(self, sender: int, message: CoinQCMessage) -> None:
         coin_qc = message.coin_qc
-        if not self.crypto.verify_coin_qc(coin_qc):
+        if not verify_coin_qc(self.crypto, coin_qc):
             return
         self.exit_fallback(coin_qc)
 

@@ -127,8 +127,8 @@ class CommonCoin:
         return hash_fields(_COIN_VALUE_DOMAIN, self._seed, self.registry.epoch, view)
 
     def verify_leader(self, view: int, leader: int, proof_tag: Digest) -> bool:
-        return proof_tag == self.leader_proof_tag(view) and leader == self._value(view)
+        digest = self.leader_proof_tag(view)
+        return proof_tag == digest and leader == int(digest, 16) % self.n
 
     def _value(self, view: int) -> int:
-        digest = hash_fields(_COIN_VALUE_DOMAIN, self._seed, self.registry.epoch, view)
-        return int(digest, 16) % self.n
+        return int(self.leader_proof_tag(view), 16) % self.n

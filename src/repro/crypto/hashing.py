@@ -5,21 +5,13 @@ The paper's H(.) maps arbitrary input to a fixed-size digest; 128 bits is
 ample for simulation-scale collision resistance while keeping identifiers
 readable in traces.
 
-Performance: :func:`hash_fields` is the single hottest crypto primitive in
-the simulator — every signature tag, threshold-share tag, block id and coin
-value goes through it, and the same payload tuple is hashed once per replica
-that verifies it.  Two optimizations keep it off the profile:
-
-- a **fast stable encoder** (:func:`_encode_into`) that dispatches on the
-  concrete field type instead of calling ``repr`` through the generic
-  protocol for every field.  The byte encoding is *identical* to the
-  historical ``repr``-based one, so digests — and therefore block ids and
-  common-coin leader elections — are stable across versions.
-- a **digest memo**: payload tuples are hashable, so the full
-  fields -> digest mapping is cached process-wide.  The cache is a pure
-  function table (same input, same digest) and therefore invisible to
-  determinism; ``hash_fields_uncached`` bypasses it for tests that prove
-  cached and uncached digests are byte-identical.
+:func:`hash_fields` is the hottest crypto primitive in the simulator: every
+signature tag, threshold-share tag, block id and coin value goes through
+it.  It is one single-pass encoder with no memo.  Each field becomes a
+length-prefixed part of one flat list, which is joined once and hashed.
+The per-field bytes are ``repr(field).encode("utf-8")`` (ints take a
+byte-identical ``b"%d"`` fast path), so digests, and therefore block ids
+and common-coin leader elections, are stable across versions.
 """
 
 from __future__ import annotations
@@ -41,110 +33,49 @@ def hash_bytes(data: bytes) -> Digest:
     return _blake2b(data, digest_size=16).hexdigest()
 
 
-# ----------------------------------------------------------------------
-# Field encoding
-# ----------------------------------------------------------------------
 # Sequence markers, pre-encoded.  They delimit (possibly nested) tuples and
 # lists so that hash_fields((1, 2), 3) != hash_fields(1, (2, 3)).
 _SEQ_OPEN = (len(b"'<seq>'")).to_bytes(8, "big") + b"'<seq>'"
 _SEQ_CLOSE = (len(b"'</seq>'")).to_bytes(8, "big") + b"'</seq>'"
 
 
-def _encode_into(parts: bytearray, fields: Iterable[object]) -> None:
-    """Append the length-prefixed encoding of ``fields`` to ``parts``.
-
-    The per-field bytes match ``repr(field).encode("utf-8")`` exactly (ints
-    take a fast path that is byte-identical), so digests are stable against
-    the original generic encoder.
-    """
+def _append_parts(parts: list[bytes], fields: Iterable[object]) -> None:
+    """Append each field's 8-byte length prefix and bytes to ``parts``."""
+    append = parts.append
     for field in fields:
         kind = type(field)
-        if kind is int:
-            encoded = b"%d" % field
-        elif kind is str:
-            encoded = repr(field).encode("utf-8")
-        elif kind is tuple or kind is list:
-            parts += _SEQ_OPEN
-            _encode_into(parts, field)
-            parts += _SEQ_CLOSE
+        if kind is tuple or kind is list:
+            append(_SEQ_OPEN)
+            _append_parts(parts, field)
+            append(_SEQ_CLOSE)
             continue
-        else:
-            encoded = repr(field).encode("utf-8")
-        parts += len(encoded).to_bytes(8, "big")
-        parts += encoded
-
-
-def hash_fields_uncached(*fields: object) -> Digest:
-    """Hash a tuple of simple fields, bypassing the digest memo.
-
-    Exists so tests can prove the memoized path returns byte-identical
-    digests; production code calls :func:`hash_fields`.
-    """
-    parts = bytearray()
-    _encode_into(parts, fields)
-    return _blake2b(bytes(parts), digest_size=16).hexdigest()
-
-
-# ----------------------------------------------------------------------
-# Memoized entry point
-# ----------------------------------------------------------------------
-#: memo key -> digest.  Bounded: cleared wholesale when it outgrows the
-#: limit (simple and O(1) amortized; a run that genuinely produces millions
-#: of distinct payloads just pays an occasional cold restart).
-_MEMO: dict[object, Digest] = {}
-_MEMO_LIMIT = 1 << 20
-
-
-def _memo_key(value: object) -> object:
-    """A hashable key with the invariant *equal keys => equal encodings*.
-
-    The raw fields tuple is not a sound key: ``False == 0`` (and
-    ``1 == 1.0``) yet they encode differently, so numeric scalars are tagged
-    with their concrete type.  Strings only ever equal strings and stay
-    untagged; tuples and lists encode identically, so both map to a plain
-    tuple of child keys.  Anything else raises TypeError, routing the call
-    to the uncached path rather than risking a conflation.
-    """
-    kind = type(value)
-    if kind is str:
-        return value
-    if kind is int or kind is bool or kind is float:
-        return (kind, value)
-    if kind is tuple or kind is list:
-        return tuple(_memo_key(item) for item in value)
-    if value is None:
-        return _NONE_KEY
-    raise TypeError(f"unmemoizable field type {kind.__name__}")
-
-
-_NONE_KEY = (type(None), None)
+        encoded = b"%d" % field if kind is int else repr(field).encode("utf-8")
+        append(len(encoded).to_bytes(8, "big"))
+        append(encoded)
 
 
 def hash_fields(*fields: object) -> Digest:
     """Hash a tuple of simple fields (ints, strings, digests, tuples).
 
     Fields are rendered with an unambiguous length-prefixed encoding so that
-    ``hash_fields("ab", "c") != hash_fields("a", "bc")``.  Results are
-    memoized for the simple field types the protocol actually hashes.
+    ``hash_fields("ab", "c") != hash_fields("a", "bc")``.
+
+    ``hash_fields_uncached`` is a compatibility alias of this function: it
+    dates from a removed digest memo, and benchmark tracing still patches
+    it by name.
     """
-    try:
-        key = _memo_key(fields)
-    except TypeError:  # exotic field: encode directly, skip the memo
-        return hash_fields_uncached(*fields)
-    digest = _MEMO.get(key)
-    if digest is None:
-        digest = hash_fields_uncached(*fields)
-        if len(_MEMO) >= _MEMO_LIMIT:
-            _MEMO.clear()
-        _MEMO[key] = digest
-    return digest
+    parts: list[bytes] = []
+    _append_parts(parts, fields)
+    return _blake2b(b"".join(parts), digest_size=16).hexdigest()
 
 
-def clear_hash_cache() -> None:
-    """Drop the digest memo (tests; never needed for correctness)."""
-    _MEMO.clear()
+#: Compatibility alias (see :func:`hash_fields`); nothing calls it.
+hash_fields_uncached = hash_fields
 
 
 def hash_cache_size() -> int:
-    """Number of memoized digests (introspection for tests/benchmarks)."""
-    return len(_MEMO)
+    """Always 0: a compatibility name from the removed digest memo.
+
+    Kept because the benchmark harness imports it to report the memo size.
+    """
+    return 0

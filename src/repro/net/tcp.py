@@ -480,7 +480,19 @@ class TcpTransport:
         finally:
             # Shielded so a cancellation landing mid-finally cannot skip
             # the channel deregistration or leave the socket half-closed.
-            await asyncio.shield(self._finish_inbound(reply, peer_id, writer))
+            finish = asyncio.ensure_future(
+                self._finish_inbound(reply, peer_id, writer)
+            )
+            try:
+                await asyncio.shield(finish)
+            except asyncio.CancelledError:
+                # Our own shutdown can also land here: as above, wait out
+                # the teardown and complete normally.
+                if not self._closed:
+                    raise
+                if task is not None:
+                    task.uncancel()
+                await asyncio.shield(finish)
 
     async def _finish_inbound(
         self,

@@ -47,10 +47,19 @@ def lopsided_locks(cluster):
 
 
 def enter_all(cluster):
-    """Time out every replica and drain until the fallback resolves."""
+    """Time out every replica and run until the fallback resolves.
+
+    The run stops as soon as every replica has left fallback mode, or when
+    nothing is left to run (the deadlock case).  Running on would only
+    replay the steady state that follows.
+    """
     for replica in cluster.replicas:
         replica.fallback.on_local_timeout()
-    cluster.scheduler.drain(limit=500_000)
+    cluster.scheduler.run(
+        max_events=500_000,
+        stop_when=lambda: not any(r.fallback_mode for r in cluster.replicas),
+        check_every=1,
+    )
 
 
 def test_without_adoption_the_one_chain_lock_deadlocks():
@@ -117,8 +126,11 @@ def test_endorsed_two_chain_commits_at_exit():
     for seed in range(6):
         cluster = build_cluster(adoption=True, seed=160 + seed)
         lopsided_locks(cluster)
+        # Replica 0's round-2 QC already commits round 1 (2-chain rule), so
+        # count only what the fallback exit adds.
+        before = cluster.metrics.decisions()
         enter_all(cluster)
-        if cluster.metrics.decisions() > 0:
+        if cluster.metrics.decisions() > before:
             commits_seen += 1
     # Per Lemma 7's logic the per-fallback commit probability is ~2f+1/n;
     # over 6 independent fallbacks, at least one commit is overwhelming.

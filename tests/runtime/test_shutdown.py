@@ -104,7 +104,13 @@ def test_cancelling_close_propagates():
         probe.close()
         await probe.wait_closed()
 
-        transport = TcpTransport(0, lambda p, m: None)
+        # A backoff far longer than the test keeps the sender asleep between
+        # dials: with the default 25-50 ms first backoff it could wake, see
+        # the channel closed and exit before the cancel below, and close()
+        # would return normally.
+        transport = TcpTransport(
+            0, lambda p, m: None, backoff_initial=30.0, backoff_max=30.0
+        )
         transport.add_peer(1, "127.0.0.1", dead_port)
         channel = transport._channels[1]
         await asyncio.sleep(0.05)  # let the dial loop start failing
@@ -138,6 +144,44 @@ def test_close_returns_normally_when_not_cancelled():
         channel = transport._channels[1]
         assert channel.task is not None and channel.task.done()
         await asyncio.sleep(0.05)
+        assert len(asyncio.all_tasks()) == 1
+
+    asyncio.run(go())
+
+
+def test_close_during_inbound_teardown_reports_nothing():
+    # Regression: close() cancelling an inbound handler while its finally
+    # awaited the shielded connection teardown let CancelledError escape
+    # to asyncio.streams' done-callback, which logged "Exception in
+    # callback ... CancelledError" through the loop's exception handler.
+    async def go():
+        loop = asyncio.get_running_loop()
+        reported = []
+        loop.set_exception_handler(lambda _loop, context: reported.append(context))
+        transport = TcpTransport(0, lambda p, m: None)
+        host, port = await transport.start()
+
+        # Hold the handler inside its shielded teardown until released.
+        in_teardown = asyncio.Event()
+        release = asyncio.Event()
+        finish_inbound = transport._finish_inbound
+
+        async def slow_finish(*args):
+            in_teardown.set()
+            await release.wait()
+            await finish_inbound(*args)
+
+        transport._finish_inbound = slow_finish
+        _, writer = await asyncio.open_connection(host, port)
+        writer.close()  # no HELLO: the handler goes straight to teardown
+        await writer.wait_closed()
+        await asyncio.wait_for(in_teardown.wait(), timeout=5.0)
+
+        loop.call_later(0.2, release.set)
+        await transport.close()
+        await asyncio.sleep(0.05)
+        assert reported == []
+        assert not transport._inbound_tasks
         assert len(asyncio.all_tasks()) == 1
 
     asyncio.run(go())

@@ -96,3 +96,12 @@ def test_scaling_command(capsys):
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
+
+
+def test_live_fsync_without_processes_is_rejected(capsys):
+    # The in-process cluster keeps its journal in memory, so --fsync would
+    # be silently ignored there.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["live", "--durable", "--fsync"])
+    assert excinfo.value.code == 2
+    assert "--processes" in capsys.readouterr().err
