@@ -8,10 +8,9 @@ slope ≈ 2 quadratic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
-
-import numpy as np
 
 from repro.runtime.metrics import MetricsCollector
 
@@ -73,10 +72,13 @@ def fit_loglog_slope(ns: Sequence[int], costs: Sequence[float]) -> float:
     ]
     if len(points) < 2:
         raise ValueError("need at least two positive-cost points to fit a slope")
-    log_n = np.log([n for n, _ in points])
-    log_cost = np.log([cost for _, cost in points])
-    slope, _intercept = np.polyfit(log_n, log_cost, 1)
-    return float(slope)
+    xs = [math.log(n) for n, _ in points]
+    ys = [math.log(cost) for _, cost in points]
+    mean_x = sum(xs) / len(xs)
+    mean_y = sum(ys) / len(ys)
+    covariance = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+    variance = sum((x - mean_x) ** 2 for x in xs)
+    return covariance / variance
 
 
 def classify_complexity(slope: float, tolerance: float = 0.35) -> str:

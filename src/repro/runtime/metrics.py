@@ -10,12 +10,13 @@ paper accounts complexity.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.core.replica import ReplicaObserver
 from repro.ledger.ledger import CommitRecord
 from repro.types.blocks import FallbackBlock
+from repro.types.transactions import Batch
 
 #: Message types belonging to the linear fast path.
 STEADY_TYPES = frozenset({"Proposal", "Vote"})
@@ -48,7 +49,13 @@ class CommitEvent:
     time: float
     fallback_block: bool
     batch_size: int
-    tx_latencies: list[float] = field(default_factory=list)
+    #: The committed block's batch, shared with the ledger (not copied).
+    batch: Batch
+
+    @property
+    def tx_latencies(self) -> list[float]:
+        """Submit-to-commit latency of each transaction in the batch."""
+        return [self.time - tx.submitted_at for tx in self.batch]
 
 
 @dataclass
@@ -196,7 +203,7 @@ class MetricsCollector(ReplicaObserver):
                 time=now,
                 fallback_block=isinstance(block, FallbackBlock),
                 batch_size=len(block.batch),
-                tx_latencies=[now - tx.submitted_at for tx in block.batch],
+                batch=block.batch,
             )
         )
         if replica in self.honest_ids:

@@ -176,7 +176,8 @@ class Supervisor:
     # ------------------------------------------------------------------
     @property
     def now(self) -> float:
-        """Seconds since :meth:`start` (the schedule's wall-clock origin)."""
+        """Seconds since :meth:`start`; fault-schedule times count instead
+        from the moment every replica has published a first status."""
         if self._epoch is None:
             return 0.0
         return time.monotonic() - self._epoch
@@ -425,10 +426,28 @@ class Supervisor:
             (self.now, f"auto-restarted replica {handle.replica_id} (#{handle.restarts})")
         )
 
+    def _published(self, handle: ReplicaHandle) -> bool:
+        """Whether the handle's current process has published a status."""
+        status = read_status(self.spec.status_path(handle.replica_id))
+        process = handle.process
+        return (
+            status is not None
+            and process is not None
+            and status.get("pid") == process.pid
+        )
+
     async def _drive_schedule(self) -> None:
         assert self.schedule is not None
+        # The schedule's clock starts once every replica has published a
+        # status, i.e. has opened and written its journal: interpreter start
+        # alone takes about half a second per process, so a clock started at
+        # spawn could kill a replica that has nothing on disk to restore.
+        while not all(self._published(handle) for handle in self.handles):
+            await asyncio.sleep(POLL_INTERVAL)
+        origin = self.now
+        self.fault_log.append((origin, "every replica published a status"))
         for event in sorted(self.schedule.events, key=lambda e: e.time):
-            delay = event.time - self.now
+            delay = origin + event.time - self.now
             if delay > 0:
                 await asyncio.sleep(delay)
             if self._stopping:

@@ -1,7 +1,13 @@
 """Tests for complexity fitting and table rendering."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.analysis.complexity import (
     classify_complexity,
     fit_loglog_slope,
@@ -28,6 +34,21 @@ def test_slope_with_noise():
     costs = [2.1 * n**1.05 for n in ns]
     slope = fit_loglog_slope(ns, costs)
     assert 0.9 < slope < 1.2
+
+
+def test_slope_matches_polyfit_on_noisy_points():
+    # 0.9900381809440449 is numpy.polyfit(log n, log cost, 1)[0] on these points.
+    slope = fit_loglog_slope([4, 8, 16, 32, 64], [9.5, 21.0, 37.0, 80.5, 150.0])
+    assert abs(slope - 0.9900381809440449) < 1e-9
+
+
+def test_analysis_does_not_import_numpy():
+    code = (
+        "import sys, repro.cli, repro.analysis.safety, repro.runtime.live; "
+        "assert 'numpy' not in sys.modules, 'numpy was imported'"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def test_slope_skips_dead_points():

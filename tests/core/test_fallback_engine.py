@@ -118,13 +118,26 @@ def test_full_fallback_round_trip_commits(cluster):
     """Drive all four replicas through a complete fallback by scheduler."""
     for replica in cluster.replicas:
         replica.fallback.on_local_timeout()
-    cluster.scheduler.drain(limit=500_000)
+
+    def exited_and_committed():
+        return cluster.metrics.decisions() >= 1 and all(
+            not replica.fallback_mode and replica.v_cur == 1
+            for replica in cluster.replicas
+        )
+
+    cluster.scheduler.run(stop_when=exited_and_committed, max_events=500_000)
     # Everyone exited into view 1 and someone committed the endorsed chain
     # (probability over the coin is 1 here because all four chains complete).
+    assert exited_and_committed()
+    # The steady state that follows commits without a second fallback.
+    tail = cluster.metrics.decisions() + 100
+    cluster.scheduler.run(
+        stop_when=lambda: cluster.metrics.decisions() >= tail, max_events=500_000
+    )
+    assert cluster.metrics.decisions() >= tail
     for replica in cluster.replicas:
         assert not replica.fallback_mode
         assert replica.v_cur == 1
-    assert cluster.metrics.decisions() >= 1
     assert cluster.metrics.fallback_count() == 1
 
 

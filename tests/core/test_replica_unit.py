@@ -117,7 +117,9 @@ def test_missing_block_triggers_sync_request(cluster):
     target.deliver(0, FallbackTimeout(view=0, share=share, qc_high=qcs[2]))
     assert target.qc_high.round == 3
     assert blocks[2].id in target._requested_blocks
-    cluster.scheduler.drain()
+    cluster.scheduler.run(
+        stop_when=lambda: target.ledger.height >= 1, max_events=1_000_000
+    )
     # Replica 0 (the chain author / likely holder) answered; commits flowed.
     assert target.ledger.height >= 1
 

@@ -80,8 +80,17 @@ def test_timeout_in_new_view_after_exit():
     # Now force timeouts: every replica times out in view 1.
     for replica in cluster.replicas:
         replica.fallback.on_local_timeout()
-    cluster.scheduler.drain(limit=300_000)
+    cluster.scheduler.run(
+        stop_when=lambda: all(r.v_cur >= 2 for r in cluster.replicas),
+        max_events=300_000,
+    )
     assert all(r.v_cur >= 2 for r in cluster.replicas)
+    # The second fallback exits into a steady state that commits safely.
+    tail = cluster.metrics.decisions() + 100
+    cluster.scheduler.run(
+        stop_when=lambda: cluster.metrics.decisions() >= tail, max_events=300_000
+    )
+    assert cluster.metrics.decisions() >= tail
     assert_cluster_safety(cluster.honest_replicas())
 
 

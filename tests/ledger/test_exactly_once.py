@@ -50,6 +50,28 @@ def test_duplicate_across_blocks_applies_once(setup):
     assert block_id == blocks[0].id
 
 
+def test_commit_location_in_a_later_block(setup):
+    store = BlockStore()
+    ledger = Ledger(store)
+    first, later = make_transaction(0), make_transaction(1)
+    parent_qc = genesis_qc(store.genesis.id)
+    blocks = []
+    for round_number, batch in ((1, [first]), (2, []), (3, [first, later])):
+        block = Block(
+            qc=parent_qc, round=round_number, view=0,
+            batch=Batch.of(batch), author=0,
+        )
+        store.add(block)
+        parent_qc = make_real_qc(setup, block)
+        blocks.append(block)
+    ledger.commit_through(blocks[1], now=1.0)
+    ledger.commit_through(blocks[2], now=2.0)
+    position, block_id = ledger.commit_location(later.tx_id)
+    assert position == 2
+    assert block_id == blocks[2].id == ledger.records[position].block.id
+    assert ledger.commit_location(first.tx_id) == (0, blocks[0].id)
+
+
 def test_cluster_wide_exactly_once():
     cluster = (
         ClusterBuilder(n=4, seed=131)

@@ -83,10 +83,12 @@ def test_phase_classification():
 def test_commit_event_captures_block_facts():
     metrics = make_metrics()
     txs = [make_transaction(0, submitted_at=1.0)]
-    metrics.on_commit(0, commit_record(fallback=True, txs=txs), 5.0)
+    record = commit_record(fallback=True, txs=txs)
+    metrics.on_commit(0, record, 5.0)
     [event] = metrics.commits
     assert event.fallback_block
     assert event.batch_size == 1
+    assert event.batch is record.block.batch  # shared with the ledger, not copied
     assert event.tx_latencies == [4.0]
     assert metrics.commit_latencies() == [4.0]
 
