@@ -2,17 +2,86 @@
 
 Single-run numbers are deterministic given a seed, but claims like
 "the fallback commits with probability ≥ 2/3" are statistical: the benches
-repeat runs over seeds and report means with confidence intervals.  These
-helpers wrap the small amount of scipy needed for that.
+repeat runs over seeds and report means with confidence intervals.  The two
+quantiles they need come from the standard library: the normal one from
+:class:`statistics.NormalDist`, the Student-t one by bisection on the
+t distribution's tail, written through the regularized incomplete beta
+function.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Sequence
 
-from scipy import stats as _scipy_stats
+
+def _beta_continued_fraction(a: float, b: float, x: float) -> float:
+    """Continued fraction of the incomplete beta function (modified Lentz)."""
+    tiny = 1e-300
+    c = 1.0
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    result = d
+    for m in range(1, 400):
+        for numerator in (
+            m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0)),
+        ):
+            d = 1.0 + numerator * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + numerator / c
+            c = c if abs(c) > tiny else tiny
+            result *= d * c
+        if abs(d * c - 1.0) < 1e-16:
+            break
+    return result
+
+
+def _regularized_beta(a: float, b: float, x: float, y: float) -> float:
+    """I_x(a, b), the regularized incomplete beta function, for 0 <= x <= 1.
+
+    ``y`` is ``1 - x``, passed in so that neither is rounded near 0 or 1.
+    """
+    if x <= 0.0:
+        return 0.0
+    if y <= 0.0:
+        return 1.0
+    front = math.exp(
+        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+        + a * math.log(x) + b * math.log(y)
+    )
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_continued_fraction(a, b, x) / a
+    return 1.0 - front * _beta_continued_fraction(b, a, y) / b
+
+
+def _t_upper_tail(t: float, df: int) -> float:
+    """P(T > t) for Student's t with ``df`` degrees of freedom, t >= 0."""
+    square = t * t
+    total = df + square
+    return 0.5 * _regularized_beta(df / 2.0, 0.5, df / total, square / total)
+
+
+def t_quantile(p: float, df: int) -> float:
+    """Inverse CDF of Student's t with ``df`` degrees of freedom."""
+    if not 0.0 < p < 1.0:
+        raise ValueError("p must lie strictly between 0 and 1")
+    # By symmetry the quantile is +-t where P(T > t) is the smaller tail.
+    sign, target = (1.0, 1.0 - p) if p >= 0.5 else (-1.0, p)
+    low, high = 0.0, 1.0
+    while _t_upper_tail(high, df) > target:
+        low, high = high, 2.0 * high
+    # Halve [low, high] until no float lies strictly between them.
+    while True:
+        middle = (low + high) / 2.0
+        if middle in (low, high):
+            return sign * middle
+        if _t_upper_tail(middle, df) > target:
+            low = middle
+        else:
+            high = middle
 
 
 @dataclass(frozen=True)
@@ -48,7 +117,7 @@ def mean_ci(values: Sequence[float], confidence: float = 0.95) -> Estimate:
     sem = math.sqrt(variance / n)
     if sem == 0:
         return Estimate(mean=mean, low=mean, high=mean, confidence=confidence, samples=n)
-    half_width = float(_scipy_stats.t.ppf((1 + confidence) / 2, n - 1)) * sem
+    half_width = t_quantile((1 + confidence) / 2, n - 1) * sem
     return Estimate(
         mean=mean,
         low=mean - half_width,
@@ -68,7 +137,7 @@ def proportion_ci(successes: int, trials: int, confidence: float = 0.95) -> Esti
         raise ValueError("need at least one trial")
     if not 0 <= successes <= trials:
         raise ValueError("successes out of range")
-    z = float(_scipy_stats.norm.ppf((1 + confidence) / 2))
+    z = NormalDist().inv_cdf((1 + confidence) / 2)
     phat = successes / trials
     denominator = 1 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denominator

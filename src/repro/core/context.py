@@ -9,7 +9,7 @@ verification machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from repro.core.config import ProtocolConfig
@@ -37,11 +37,11 @@ class SharedSetup:
     #: function of certificate content + key epoch, so one replica's
     #: verdict holds for all).  ``None`` disables caching entirely.
     cert_cache: Optional[VerifiedCertCache] = None
-    #: Cluster-wide share-verification pool: each (signer, payload) share
-    #: is hash-verified at most once across all n replicas; re-checks —
-    #: including the per-share re-verification inside ``combine()`` — are
-    #: dictionary lookups.  ``None`` disables pooling entirely.
-    share_pool: Optional[VerifiedSharePool] = None
+    #: Hit/miss counters of the verdict each share keeps on itself: a share
+    #: object is hash-verified once against a payload, however many
+    #: replicas receive it; re-checks, including those inside
+    #: ``combine()``, read its stamped verdict.
+    share_pool: VerifiedSharePool = field(default_factory=VerifiedSharePool)
 
     @classmethod
     def deal(
@@ -50,23 +50,17 @@ class SharedSetup:
         coin_seed: int = 0,
         cert_cache: Optional[VerifiedCertCache] = None,
         cert_cache_enabled: bool = True,
-        share_pool: Optional[VerifiedSharePool] = None,
-        share_pool_enabled: bool = True,
     ) -> "SharedSetup":
         registry = Registry(config.n)
         if cert_cache is None:
             cert_cache = VerifiedCertCache(enabled=cert_cache_enabled)
-        if share_pool is None:
-            share_pool = VerifiedSharePool(enabled=share_pool_enabled)
         registry.add_epoch_listener(cert_cache.on_epoch_change)
-        registry.add_epoch_listener(share_pool.on_epoch_change)
         return cls(
             config=config,
             registry=registry,
             quorum_scheme=ThresholdScheme(registry, threshold=config.quorum_size),
             coin=CommonCoin(registry, threshold=config.coin_threshold, seed=coin_seed),
             cert_cache=cert_cache,
-            share_pool=share_pool,
         )
 
     def context_for(self, replica: int) -> "CryptoContext":
@@ -97,10 +91,6 @@ class CryptoContext:
         return self.setup.cert_cache
 
     @property
-    def share_pool(self) -> Optional[VerifiedSharePool]:
-        return self.setup.share_pool
-
-    @property
     def registry_epoch(self) -> int:
         return self.setup.registry.epoch
 
@@ -111,25 +101,14 @@ class CryptoContext:
         return self.scheme.sign_share(self.key_pair, payload)
 
     def verify_share(self, share: ThresholdSignatureShare, payload: object) -> bool:
-        """Pooled share verification: one hash per (signer, payload) pair
-        cluster-wide; every re-check is a dictionary lookup."""
-        pool = self.setup.share_pool
-        if pool is None:
-            return self.scheme.verify_share(share, payload)
-        try:
-            key = (
-                self.setup.registry.epoch,
-                "tshare",
-                share.signer,
-                share.epoch,
-                share.tag,
-                payload,
-            )
-            return pool.check(
-                key, lambda: self.scheme.verify_share(share, payload)
-            )
-        except TypeError:  # unhashable payload — verify directly
-            return self.scheme.verify_share(share, payload)
+        """Share verification memoized on the share: one hash per share
+        object and payload; every re-check reads the stamped verdict."""
+        return self.setup.share_pool.check(
+            share,
+            self.setup.registry.epoch,
+            payload,
+            lambda: self.scheme.verify_share(share, payload),
+        )
 
     def combine(
         self, shares: Iterable[ThresholdSignatureShare], payload: object
@@ -146,19 +125,11 @@ class CryptoContext:
         return self.coin.share(self.key_pair, view)
 
     def verify_coin_share(self, share: CoinShare) -> bool:
-        """Pooled coin-share verification (see :meth:`verify_share`)."""
-        pool = self.setup.share_pool
-        if pool is None:
-            return self.coin.verify_share(share)
-        key = (
-            self.setup.registry.epoch,
-            "coinshare",
-            share.signer,
-            share.epoch,
-            share.view,
-            share.tag,
+        """Coin-share verification memoized on the share (see
+        :meth:`verify_share`); the stamp is the registry epoch alone."""
+        return self.setup.share_pool.check(
+            share, self.setup.registry.epoch, None, lambda: self.coin.verify_share(share)
         )
-        return pool.check(key, lambda: self.coin.verify_share(share))
 
     def reveal_coin(self, shares: Iterable[CoinShare], view: int) -> CoinQC:
         leader = self.coin.reveal(

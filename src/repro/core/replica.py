@@ -134,15 +134,15 @@ class Replica(Process):
         self._batch_controller = None
         if config.adaptive_batching:
             from repro.traffic.batching import AdaptiveBatchController
-            from repro.traffic.envelope import TrafficEnvelope
+            from repro.traffic.envelope import ArrivalEnvelope
 
-            envelope = TrafficEnvelope()
+            envelope = ArrivalEnvelope()
             self.mempool.attach_envelope(envelope, lambda: self.now)
             self._batch_controller = AdaptiveBatchController(
                 min_batch=config.adaptive_min_batch,
                 max_batch=config.adaptive_max_batch,
                 start=config.batch_size,
-                envelope=envelope.cluster,
+                envelope=envelope,
             )
         self.store = BlockStore()
         self.ledger = Ledger(self.store, state_machine or NullStateMachine())

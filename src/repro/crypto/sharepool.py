@@ -1,103 +1,58 @@
-"""Cluster-wide pool of threshold/coin share verification verdicts.
+"""Share verification verdicts, memoized on the share itself.
 
 The hot path at large n is share verification: a timeout or coin share
-multicast to n replicas is verified n times on arrival, and every
-``combine()`` re-verifies the 2f+1 shares it aggregates — so one share can
-cost O(n) hash computations cluster-wide, and a quorum's worth costs
-O(n^2) per view.  Like certificate verification (see
-:mod:`repro.crypto.certcache`), a share verdict is a pure function of the
-share's content, the payload it is checked against and the key epoch, so a
-verdict computed once by any replica holds for the whole cluster.
+multicast to n replicas is verified by each receiver, and every
+``combine()``/``reveal()`` re-verifies the shares it aggregates.  A share is
+immutable, so its verdict against a payload under one key epoch never
+changes; :meth:`VerifiedSharePool.check` keeps that verdict in the share's
+instance ``__dict__`` (the slot ``functools.cached_property`` uses for block
+and certificate digests), stamped with the registry epoch and the payload it
+was checked against.  Negative verdicts are kept too.
 
-The pool is keyed on ``(registry epoch, kind, signer, share epoch, tag,
-payload key)``:
-
-- *registry epoch* first, so :meth:`on_epoch_change` can drop stale
-  verdicts when the PKI rotates (the :class:`~repro.crypto.keys.Registry`
-  calls it through its epoch listeners, exactly like the cert cache);
-- the remaining fields cover every input ``verify_share`` reads — a forged
-  share carrying a copied tag but a different signer, epoch or payload
-  keys differently and cannot inherit a genuine verdict.
-
-``enabled=False`` turns the pool into a pass-through (every lookup calls
-the verifier), the bypass mode determinism tests use to prove pooled and
-unpooled runs are event-for-event identical.
+The memo needs no invalidation and no bound: a key rotation or a different
+payload changes the stamp and forces a fresh check, and the verdict is
+freed with its share.  In the simulator a multicast share is one object
+across all receivers, so one hash serves every receiver and every later
+``combine()`` over the trackers holding it.  A forgery is a different
+object and never sees another share's verdict.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Hashable
+from typing import Callable
 
-#: A fully-materialized pool key.  ``[0]`` must be the registry epoch the
-#: verdict was computed under; the rest identifies the verification inputs.
-PoolKey = tuple[Hashable, ...]
+#: Instance ``__dict__`` key of a share's ``(registry epoch, payload,
+#: verdict)`` stamp.
+_VERDICT = "_verdict"
 
 
 class VerifiedSharePool:
-    """Shared share-verification verdict pool with hit/miss counters."""
+    """Hit/miss counters of the per-share verdict memo (see module doc)."""
 
-    def __init__(self, enabled: bool = True, max_entries: int = 1 << 20) -> None:
-        self.enabled = enabled
-        self.max_entries = max_entries
-        self._verdicts: dict[PoolKey, bool] = {}
+    __slots__ = ("hits", "misses")
+
+    def __init__(self) -> None:
         self.hits = 0
         self.misses = 0
-        self.invalidations = 0
 
-    def __len__(self) -> int:
-        return len(self._verdicts)
+    def check(
+        self, share: object, epoch: int, payload: object, verifier: Callable[[], bool]
+    ) -> bool:
+        """Return ``share``'s verdict for ``(epoch, payload)``.
 
-    def check(self, key: PoolKey, verifier: Callable[[], bool]) -> bool:
-        """Return the pooled verdict for ``key`` or compute and record it.
-
-        ``verifier`` runs at most once per key; with the pool disabled it
-        runs every time and nothing is recorded.  ``key[0]`` must be the
-        current registry epoch (see :meth:`on_epoch_change`).
+        ``verifier`` runs only when the share carries no verdict stamped
+        with this registry epoch and an equal payload (``None`` for coin
+        shares, whose view is a field of the share).
         """
-        if not self.enabled:
-            return verifier()
-        verdict = self._verdicts.get(key)
-        if verdict is None:
-            self.misses += 1
-            verdict = verifier()
-            if len(self._verdicts) >= self.max_entries:
-                self._verdicts.clear()
-            self._verdicts[key] = verdict
-        else:
+        memo = share.__dict__
+        stamp = memo.get(_VERDICT)
+        if stamp is not None and stamp[0] == epoch and stamp[1] == payload:
             self.hits += 1
+            return stamp[2]
+        self.misses += 1
+        verdict = verifier()
+        memo[_VERDICT] = (epoch, payload, verdict)
         return verdict
 
-    def evict(self, key: PoolKey) -> None:
-        """Forget one verdict (deferred-verify eviction after a bad combine)."""
-        if self._verdicts.pop(key, None) is not None:
-            self.invalidations += 1
-
-    # ------------------------------------------------------------------
-    # Invalidation
-    # ------------------------------------------------------------------
-    def on_epoch_change(self, new_epoch: int) -> None:
-        """Registry epoch listener: drop verdicts from older epochs."""
-        stale = [key for key in self._verdicts if key[0] != new_epoch]
-        for key in stale:
-            del self._verdicts[key]
-        self.invalidations += len(stale)
-
-    def clear(self) -> None:
-        """Drop every verdict (counters are kept)."""
-        self.invalidations += len(self._verdicts)
-        self._verdicts.clear()
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
     def counters(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "entries": len(self._verdicts),
-            "invalidations": self.invalidations,
-        }
-
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
+        return {"hits": self.hits, "misses": self.misses}

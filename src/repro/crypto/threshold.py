@@ -116,9 +116,9 @@ class ThresholdScheme:
         """Combine ≥ threshold distinct valid shares into one signature.
 
         ``share_verifier`` replaces the per-share :meth:`verify_share` call
-        — callers with a :class:`~repro.crypto.sharepool.VerifiedSharePool`
-        pass a pooled verifier so re-verification at combine time costs a
-        dictionary lookup instead of a hash per share.
+        — a replica passes its memoized verifier (see
+        :mod:`repro.crypto.sharepool`) so re-verification at combine time
+        reads each share's stamped verdict instead of hashing it again.
         """
         if share_verifier is None:
             share_verifier = self.verify_share

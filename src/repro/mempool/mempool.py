@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Optional
 from repro.types.transactions import Batch, Transaction
 
 if TYPE_CHECKING:
-    from repro.traffic.envelope import TrafficEnvelope
+    from repro.traffic.envelope import ArrivalEnvelope
 
 
 class Mempool:
@@ -40,14 +40,14 @@ class Mempool:
         self.submitted_count = 0
         #: Submissions refused because the pool was at capacity.
         self.rejected_count = 0
-        self._envelope: Optional["TrafficEnvelope"] = None
+        self._envelope: Optional["ArrivalEnvelope"] = None
         self._clock: Optional[Callable[[], float]] = None
 
     def __len__(self) -> int:
         return len(self._pending)
 
     def attach_envelope(
-        self, envelope: "TrafficEnvelope", clock: Callable[[], float]
+        self, envelope: "ArrivalEnvelope", clock: Callable[[], float]
     ) -> None:
         """Feed accepted submissions into an arrival envelope.
 
@@ -74,7 +74,7 @@ class Mempool:
         pending[tx_id] = transaction
         self.submitted_count += 1
         if self._envelope is not None:
-            self._envelope.observe(transaction.client, self._clock())
+            self._envelope.observe(self._clock())
         return True
 
     def submit_all(self, transactions: Iterable[Transaction]) -> None:

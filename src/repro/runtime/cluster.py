@@ -268,7 +268,6 @@ class ClusterBuilder:
         self._client_count = 0
         self._client_kwargs: dict = {}
         self._cert_cache_enabled = True
-        self._share_pool_enabled = True
 
     # ------------------------------------------------------------------
     # Configuration
@@ -374,15 +373,6 @@ class ClusterBuilder:
         self._cert_cache_enabled = enabled
         return self
 
-    def with_share_pool(self, enabled: bool) -> "ClusterBuilder":
-        """Toggle the cluster-wide verified-share pool.
-
-        Disabling it makes every replica re-verify every threshold/coin
-        share on arrival — the bypass mode the property tests compare
-        against."""
-        self._share_pool_enabled = enabled
-        return self
-
     def with_clients(self, count: int, **client_kwargs) -> "ClusterBuilder":
         """Attach closed-loop BFT clients (ids n, n+1, ...).
 
@@ -421,7 +411,6 @@ class ClusterBuilder:
             config,
             coin_seed=self.seed,
             cert_cache_enabled=self._cert_cache_enabled,
-            share_pool_enabled=self._share_pool_enabled,
         )
         byzantine_ids = sorted(self._byzantine)
         metrics = MetricsCollector(

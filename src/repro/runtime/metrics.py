@@ -101,7 +101,7 @@ class MetricsCollector(ReplicaObserver):
         self._notified_txs: set[str] = set()
         #: Cluster-wide verified-certificate cache, if one is in play.
         self._cert_cache = None
-        #: Cluster-wide verified-share pool, if one is in play.
+        #: Share-verdict hit/miss counters, if a crypto setup attached them.
         self._share_pool = None
         #: Live-mode TCP transports whose counters this collector surfaces.
         self._transports: list = []
@@ -117,8 +117,8 @@ class MetricsCollector(ReplicaObserver):
         self._cert_cache = cache
 
     def attach_share_pool(self, pool) -> None:
-        """Surface a :class:`~repro.crypto.sharepool.VerifiedSharePool`'s
-        hit/miss counters through this collector."""
+        """Surface the share-verdict hit/miss counters of a
+        :class:`~repro.crypto.sharepool.VerifiedSharePool`."""
         self._share_pool = pool
 
     def attach_transport(self, transport) -> None:
@@ -322,9 +322,9 @@ class MetricsCollector(ReplicaObserver):
         return self._cert_cache.counters()
 
     def share_pool_counters(self) -> dict[str, int]:
-        """Verified-share pool counters (all zero without a pool)."""
+        """Share-verdict hits and misses (zero without attached counters)."""
         if self._share_pool is None:
-            return {"hits": 0, "misses": 0, "entries": 0, "invalidations": 0}
+            return {"hits": 0, "misses": 0}
         return self._share_pool.counters()
 
     def admission_counters(self) -> dict:
@@ -389,10 +389,9 @@ class MetricsCollector(ReplicaObserver):
             f"cert cache: {cache['hits']} hits, {cache['misses']} misses, "
             f"{cache['invalidations']} invalidations"
         )
-        pool = self.share_pool_counters()
+        verdicts = self.share_pool_counters()
         lines.append(
-            f"share pool: {pool['hits']} hits, {pool['misses']} misses, "
-            f"{pool['invalidations']} invalidations"
+            f"share verdicts: {verdicts['hits']} hits, {verdicts['misses']} misses"
         )
         if self._transports:
             totals = self.transport_counters()["totals"]

@@ -8,9 +8,9 @@ double-sends, out-of-range signers — against the old-style oracle and
 require identical observable behaviour at every step, including the exact
 step at which the quorum threshold first trips.
 
-The share-pool tests require that pooled verification (one real check per
-(signer, payload) cluster-wide) accepts and rejects *exactly* the shares
-the underlying scheme's ``verify_share`` does, in any query order.
+The share-pool tests require that memoized verification (the verdict kept
+on each share object) accepts and rejects *exactly* the shares the
+underlying scheme's ``verify_share`` does, in any query order.
 """
 
 from __future__ import annotations

@@ -115,3 +115,15 @@ def test_summary_renders():
     text = metrics.summary()
     assert "decisions: 1" in text
     assert "messages/decision" in text
+    assert "share verdicts: 0 hits, 0 misses" in text
+
+
+def test_summary_reports_share_verdict_counters():
+    from repro.crypto.sharepool import VerifiedSharePool
+
+    metrics = make_metrics()
+    counters = VerifiedSharePool()
+    counters.hits, counters.misses = 7, 3
+    metrics.attach_share_pool(counters)
+    assert metrics.share_pool_counters() == {"hits": 7, "misses": 3}
+    assert "share verdicts: 7 hits, 3 misses" in metrics.summary()
